@@ -27,9 +27,8 @@ Cached artifacts and their invalidation rules:
     cheaper than incrementalising it).
 
 ``indices``
-    Per-procedure adjacency indices (currently the branch-node index
-    the optimizer's pending scan uses).  Any dirty procedure drops
-    them.
+    The sorted branch-id list the optimizer's pending scan uses, read
+    from the graph's own branch index.  Any dirty procedure drops it.
 
 Lifecycle: the pass manager calls :meth:`commit` after a transaction's
 result is adopted — only then do dirty procedures invalidate entries —
@@ -52,7 +51,6 @@ from repro.analysis.modref import call_graph, transitive_mod_sets
 from repro.analysis.query import Query
 from repro.ir.expr import VarId
 from repro.ir.icfg import ICFG
-from repro.ir.nodes import BranchNode
 
 #: Cache key of one summary-node entry: (callee, exit node, plain query).
 SummaryKey = Tuple[str, int, Query]
@@ -126,7 +124,6 @@ class AnalysisContext:
         self._summary_deps: Dict[SummaryKey, FrozenSet[str]] = {}
         self._mod_sets: Optional[Dict[str, Set[VarId]]] = None
         self._call_graph: Optional[Dict[str, Set[str]]] = None
-        self._branch_index: Optional[Dict[str, List[int]]] = None
         self._branch_ids: Optional[List[int]] = None
         #: Optional on-disk summary store (see repro.analysis.store);
         #: probed on memory misses, written through on stores.
@@ -143,7 +140,6 @@ class AnalysisContext:
         self._summary_deps.clear()
         self._mod_sets = None
         self._call_graph = None
-        self._branch_index = None
         self._branch_ids = None
         self._closure_texts.clear()
 
@@ -206,9 +202,8 @@ class AnalysisContext:
             self._mod_sets = None
             self._call_graph = None
         if self.INDICES not in preserves:
-            if self._branch_index is not None:
+            if self._branch_ids is not None:
                 self.stats.index_invalidated += 1
-            self._branch_index = None
             self._branch_ids = None
 
     def rollback(self, icfg: ICFG) -> None:
@@ -269,18 +264,11 @@ class AnalysisContext:
         return self._call_graph
 
     def branch_ids(self, icfg: ICFG) -> List[int]:
-        """All branch-node ids, ascending, from the per-procedure index."""
+        """All branch-node ids, ascending (memoized until a commit)."""
         if not self.in_sync(icfg):
-            return [b.id for b in icfg.branch_nodes()]
+            return icfg.branch_ids()
         if self._branch_ids is None:
-            per_proc: Dict[str, List[int]] = {}
-            for node in icfg.iter_nodes():
-                if isinstance(node, BranchNode):
-                    per_proc.setdefault(node.proc, []).append(node.id)
-            self._branch_index = per_proc
-            self._branch_ids = [bid for ids in per_proc.values()
-                                for bid in ids]
-            self._branch_ids.sort()
+            self._branch_ids = icfg.branch_ids()
         else:
             self.stats.index_reuses += 1
         return self._branch_ids

@@ -302,20 +302,27 @@ def _add_analysis_scaling_flags(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """The argparse command tree."""
-    # Observability flags live on a shared parent so they parse both
-    # before and after the subcommand (``icbe --trace f optimize x`` and
-    # ``icbe optimize x --trace f``); argparse only applies a subparser
-    # default when the top-level parse left the attribute unset.
-    obs_parent = argparse.ArgumentParser(add_help=False)
-    obs_parent.add_argument(
-        "--trace", default=None, metavar="FILE.jsonl",
-        help="run under an observability session and write the span "
-             "tree + metrics snapshot as JSONL (convert to Chrome "
-             "trace-viewer format with python -m repro.obs.export)")
-    obs_parent.add_argument(
-        "--profile", action="store_true",
-        help="print a pstats-style per-span aggregate of the "
-             "invocation to stderr")
+    # Observability flags parse both before and after the subcommand
+    # (``icbe --trace f optimize x`` and ``icbe optimize x --trace f``).
+    # The subcommand's copies default to SUPPRESS: a subparser writes
+    # its defaults over the namespace the top-level parse filled in, so
+    # a real default there would erase a flag given before the
+    # subcommand.
+    def obs_flags(default_trace, default_profile) -> argparse.ArgumentParser:
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(
+            "--trace", default=default_trace, metavar="FILE.jsonl",
+            help="run under an observability session and write the span "
+                 "tree + metrics snapshot as JSONL (convert to Chrome "
+                 "trace-viewer format with python -m repro.obs.export)")
+        parent.add_argument(
+            "--profile", action="store_true", default=default_profile,
+            help="print a pstats-style per-span aggregate of the "
+                 "invocation to stderr")
+        return parent
+
+    obs_parent = obs_flags(None, False)
+    sub_obs_parent = obs_flags(argparse.SUPPRESS, argparse.SUPPRESS)
     parser = argparse.ArgumentParser(
         prog="icbe", parents=[obs_parent],
         description="Interprocedural Conditional Branch Elimination "
@@ -323,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name: str, **kwargs) -> argparse.ArgumentParser:
-        return sub.add_parser(name, parents=[obs_parent], **kwargs)
+        return sub.add_parser(name, parents=[sub_obs_parent], **kwargs)
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("file", help="MiniC source file")

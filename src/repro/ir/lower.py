@@ -140,7 +140,7 @@ class _ProcLowerer:
         self.icfg.add_edge(call_node.id, entry_id, EdgeKind.CALL)
         self.icfg.add_edge(call_node.id, call_exit.id, EdgeKind.LOCAL)
         self.icfg.add_edge(exit_id, call_exit.id, EdgeKind.RETURN)
-        call_node.return_map[exit_id] = call_exit.id
+        self.icfg.set_return_target(call_node, exit_id, call_exit.id)
         self.cursor = call_exit.id
 
     # -- conditions ----------------------------------------------------------
@@ -327,7 +327,7 @@ def _lower_program(program: ast.Program, check: bool) -> ICFG:
     icfg = ICFG(main="main")
     global_names = frozenset(g.name for g in program.globals)
     for decl in program.globals:
-        icfg.globals[ir.VarId.global_(decl.name)] = decl.init
+        icfg.set_global(ir.VarId.global_(decl.name), decl.init)
 
     # Pass 1: scaffold every procedure so call lowering can reference
     # entries/exits of procedures defined later in the file.

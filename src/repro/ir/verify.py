@@ -278,8 +278,7 @@ def _verify(icfg: ICFG, procs: Optional[Iterable[str]]) -> None:
     scope = set(procs)
     if not scope:
         return
-    scoped_nodes = [node for node in icfg.iter_nodes()
-                    if node.proc in scope]
+    scoped_nodes = icfg.nodes_of(scope)
     _check_edge_symmetry_scoped(icfg, [node.id for node in scoped_nodes])
     _check_proc_lists(icfg, scope={name for name in scope
                                    if name in icfg.procs})

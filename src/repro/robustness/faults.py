@@ -136,8 +136,10 @@ def corrupt_icfg(icfg: ICFG, action: str, rng: random.Random) -> str:
     Several actions bypass the graph's mutator methods on purpose (that
     is the kind of bug they simulate), so the graph is marked wholly
     dirty up front: generation-gated machinery (snapshot reuse, scoped
-    verification, the analysis context) must never mistake a corrupted
-    graph for an untouched one.
+    verification, the analysis context, the graph's derived indexes)
+    must never mistake a corrupted graph for an untouched one.  Each
+    bypassing write logs its pre-image first, so rolling the open
+    transaction back heals it like any logged mutation.
     """
     icfg.mark_all_dirty()
     if action == "drop-edge":
@@ -162,11 +164,13 @@ def corrupt_icfg(icfg: ICFG, action: str, rng: random.Random) -> str:
     if action == "drop-node":
         nodes = sorted(icfg.nodes)
         doomed = nodes[rng.randrange(len(nodes))]
+        icfg.record_node_entry(doomed)
         del icfg.nodes[doomed]  # leaves every incident edge dangling
         return f"dropped node {doomed}, leaving dangling edges"
     if action == "clear-exits":
         names = sorted(icfg.procs)
         name = names[rng.randrange(len(names))]
+        icfg.record_proc_preimage(name)
         icfg.procs[name].exits.clear()
         return f"cleared exit list of procedure {name!r}"
     if action == "skew-print":
@@ -175,6 +179,7 @@ def corrupt_icfg(icfg: ICFG, action: str, rng: random.Random) -> str:
             return "noop: graph has no print nodes"
         node = prints[rng.randrange(len(prints))]
         old = node.value
+        icfg.record_node_preimage(node)
         bump = old.value + 1 if isinstance(old, Const) else 1
         node.value = Const(bump)
         return f"skewed print node {node.id}: {old} -> {node.value}"

@@ -7,12 +7,16 @@ the whole world: node objects are duplicated via their own
 ``copy_with_id`` (sharing the immutable expression trees they point
 at), edges are frozen dataclasses and shared outright, and nothing
 outside the graph is touched.  Taking a snapshot therefore costs the
-same order as :meth:`~repro.ir.icfg.ICFG.clone`, which the optimizer
-already pays once per conditional.
+same order as :meth:`~repro.ir.icfg.ICFG.clone`.
 
-The optimizer takes a snapshot before each conditional's restructuring
-and rolls back to it when anything goes wrong, so one bad conditional
-never poisons the rest of the run.
+With the analysis cache off (the ``--no-analysis-cache`` reference
+path) the optimizer takes a snapshot before each conditional's
+restructuring and rolls back to it when anything goes wrong, so one bad
+conditional never poisons the rest of the run.  The cache-on path uses
+the graph's own undo log instead (:meth:`~repro.ir.icfg.ICFG.begin` /
+:meth:`~repro.ir.icfg.ICFG.rollback`), whose cost scales with the edit
+rather than the graph; a snapshot restore is the oracle that undo log
+is tested against.
 """
 
 from __future__ import annotations
@@ -27,13 +31,13 @@ class ICFGSnapshot:
     """A frozen structural copy of an ICFG at one point in time."""
 
     __slots__ = ("main", "globals", "procs", "nodes", "succs", "ids",
-                 "generation", "proc_touched", "restore_token")
+                 "generation", "proc_touched", "restore_token", "oob")
 
     def __init__(self, main: str, globals_: Dict, procs: Dict[str, ProcInfo],
                  nodes: Dict[int, Node], succs: Dict[int, List[Edge]],
                  ids, generation: int = 0,
                  proc_touched: Optional[Dict[str, int]] = None,
-                 restore_token: int = 0) -> None:
+                 restore_token: int = 0, oob: int = 0) -> None:
         self.main = main
         self.globals = globals_
         self.procs = procs
@@ -46,6 +50,9 @@ class ICFGSnapshot:
         #: restore hands it to the target so caches can tell a rewind
         #: within their own history from an arbitrary state swap.
         self.restore_token = restore_token
+        #: Out-of-band write count of the captured history (see
+        #: ICFG.tainted).
+        self.oob = oob
 
     @classmethod
     def take(cls, icfg: ICFG) -> "ICFGSnapshot":
@@ -60,7 +67,8 @@ class ICFGSnapshot:
             ids=icfg._ids.clone(),
             generation=icfg.generation,
             proc_touched=dict(icfg._proc_touched),
-            restore_token=icfg.restore_token)
+            restore_token=icfg.restore_token,
+            oob=icfg._oob)
 
     @property
     def node_count(self) -> int:
@@ -104,4 +112,7 @@ class ICFGSnapshot:
         target.restored_from_token = self.restore_token
         target.restored_generation = self.generation
         target.restore_token = next_restore_token()
+        target._oob = self.oob
+        target._log = None
+        target.drop_derived()
         return target

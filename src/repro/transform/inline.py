@@ -151,7 +151,7 @@ class _Inliner:
             icfg.add_edge(copy.id, original.entry_id, EdgeKind.CALL)
             for exit_id, call_exit_id in original.return_map.items():
                 cloned_exit = self.node_map[call_exit_id]
-                copy.return_map[exit_id] = cloned_exit.id
+                icfg.set_return_target(copy, exit_id, cloned_exit.id)
                 icfg.add_edge(exit_id, cloned_exit.id, EdgeKind.RETURN)
 
         # Parameter binding: explicit copies ahead of the body, so the

@@ -17,44 +17,51 @@ Each pass declares which cached analyses of the shared
 :class:`~repro.analysis.context.AnalysisContext` it *preserves*.  After
 a committed transaction the context invalidates only cache entries
 reaching the procedures the transform dirtied (minus the preserved
-analyses); a rollback invalidates nothing, because restoring a snapshot
+analyses); a rollback invalidates nothing, because rolling back also
 restores the generation the caches are keyed to.
 
-With the context enabled (the default) the per-branch transaction gets
-three structural shortcuts, none of which may change outcomes:
+With the context enabled (the default) a transaction's rollback point
+is an undo-log mark of the live graph (:meth:`~repro.ir.icfg.ICFG.
+begin`), not a full copy, so its cost scales with the edit.  The
+transaction gets three structural shortcuts, none of which may change
+outcomes:
 
-- **snapshot reuse** — a new snapshot is taken only when the graph's
-  generation moved past the last one (i.e. after a commit or a healed
-  corruption), instead of once per conditional;
-- **restore elision** — a failed or fruitless transaction only restores
-  the snapshot when the live graph actually mutated (injected
-  corruption marks the graph dirty, so this is generation-checked);
+- **snapshot reuse** — a new mark is begun only when the graph's
+  generation moved past the last one (i.e. after a commit), instead of
+  once per conditional; the counters keep their snapshot names;
+- **restore elision** — a failed or fruitless transaction only rolls
+  the log back when the live graph actually mutated (injected
+  corruption marks the graph dirty, so this is generation-checked).  A
+  real rollback undoes the log and then puts dict and predecessor-list
+  order back the way a snapshot restore would, so both modes continue
+  from the same graph;
 - **analysis reuse / clone elision** — the conditional is first
   analyzed *in place* on the live graph (consulting the summary cache);
   verdicts that cannot lead to restructuring (not analyzable, provably
   no correlation) are recorded without ever cloning the graph.  A
-  conditional that shows correlation is restructured from a fresh,
-  cache-independent analysis — reusing the in-place analysis directly
-  when it had no cache hits and no budget truncation, re-analyzing on
-  the clone otherwise — because the splitter must see every
+  conditional that shows correlation is restructured in place from a
+  fresh, cache-independent analysis — reusing the in-place analysis
+  directly when it had no cache hits and no budget truncation,
+  re-analyzing otherwise — because the splitter must see every
   callee-internal pair, which a cache-assisted analysis skipped.
 
 Cache-off (``OptimizerOptions.analysis_cache=False``) keeps the
-original per-branch behaviour — snapshot, clone, fresh analysis, full
-verification, unconditional restore — which is exactly what makes it
-the honest A/B baseline for ``--no-analysis-cache``.
+original per-branch behaviour — full-copy
+:class:`~repro.robustness.snapshot.ICFGSnapshot`, clone, fresh
+analysis, full verification, unconditional restore — which is exactly
+what makes it the honest A/B baseline for ``--no-analysis-cache``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set, Union
 
 from repro import obs
 from repro.analysis.context import AnalysisContext
 from repro.analysis.driver import analyze_branch
 from repro.errors import DifferentialMismatch
-from repro.ir.icfg import ICFG
+from repro.ir.icfg import ICFG, Mark
 from repro.ir.simplify import simplify_nops
 from repro.ir.verify import verify_icfg
 from repro.robustness.diffcheck import DiffReport
@@ -80,29 +87,46 @@ class PipelineState:
     origin: Dict[int, int] = field(default_factory=dict)
     gate_profile: Optional[object] = None
     growth_cap: Optional[int] = None
-    snapshot: Optional[ICFGSnapshot] = None
+    #: Where the open transaction rolls back to: an undo-log mark of
+    #: the live graph with the context on, a full-copy snapshot off.
+    snapshot: Optional[Union[Mark, ICFGSnapshot]] = None
 
     @property
     def options(self):
         return self.optimizer.options
 
-    # -- snapshot discipline -------------------------------------------------
+    # -- transaction discipline ----------------------------------------------
 
-    def fresh_snapshot(self) -> ICFGSnapshot:
+    def fresh_snapshot(self) -> Union[Mark, ICFGSnapshot]:
         obs.add("transform.snapshots_taken")
-        self.snapshot = ICFGSnapshot.take(self.current)
+        if self.options.analysis_cache:
+            self.snapshot = self.current.begin()
+        else:
+            self.snapshot = ICFGSnapshot.take(self.current)
         return self.snapshot
 
-    def ensure_snapshot(self) -> ICFGSnapshot:
-        """A snapshot matching the live graph's generation, reusing the
-        previous one when nothing mutated since it was taken."""
+    def ensure_snapshot(self) -> Union[Mark, ICFGSnapshot]:
+        """A rollback point matching the live graph's generation,
+        reusing the previous one when nothing mutated since it was
+        taken."""
         if (self.snapshot is not None
                 and self.snapshot.generation == self.current.generation):
             self.context.stats.snapshot_reuses += 1
+            if (isinstance(self.snapshot, Mark)
+                    and not self.current.holds(self.snapshot)):
+                # Same state, but a commit closed the log it marks.
+                self.snapshot = self.current.begin()
             return self.snapshot
         return self.fresh_snapshot()
 
-    def restore(self, snapshot: ICFGSnapshot) -> None:
+    def heal(self, snapshot: Union[Mark, ICFGSnapshot]) -> None:
+        """Return the live graph to ``snapshot`` (no bookkeeping)."""
+        if isinstance(snapshot, Mark):
+            self.current.rollback(snapshot)
+        else:
+            self.current = snapshot.restore()
+
+    def restore(self, snapshot: Union[Mark, ICFGSnapshot]) -> None:
         """Roll the live graph back to ``snapshot``.
 
         With the context enabled, a restore is elided when the graph's
@@ -115,12 +139,13 @@ class PipelineState:
             self.context.stats.restores_elided += 1
             return
         obs.add("transform.rollbacks")
-        self.current = snapshot.restore()
+        self.heal(snapshot)
         self.context.rollback(self.current)
 
     def commit(self, preserves: FrozenSet[str]) -> None:
         """Adopt the live graph's new state, invalidating cached
         analyses that reach its dirty procedures."""
+        self.current.commit()
         self.context.commit(self.current, preserves=preserves)
 
 
@@ -207,7 +232,7 @@ class RestructurePass(Pass):
                     # A fault corrupted the live graph at the checkpoint
                     # (corruption marks it dirty): heal before analyzing
                     # rather than poisoning this conditional's verdict.
-                    state.current = snapshot.restore()
+                    state.heal(snapshot)
                 result = self._attempt(state, branch_id, snapshot)
                 if result.applied and opts.diff_check:
                     assert result.new_icfg is not None
@@ -265,7 +290,7 @@ class RestructurePass(Pass):
                         record.duplication_bound)
 
     def _attempt(self, state: PipelineState, branch_id: int,
-                 snapshot: ICFGSnapshot) -> RestructureResult:
+                 snapshot: Union[Mark, ICFGSnapshot]) -> RestructureResult:
         """One conditional's analyze-and-maybe-restructure attempt."""
         opts = state.options
         if not opts.analysis_cache:
@@ -291,7 +316,7 @@ class RestructurePass(Pass):
             # A corruption fault fired during the in-place analysis:
             # its verdict is tainted.  Heal and decide the conditional
             # the way the baseline would, with a fresh analysis.
-            state.current = snapshot.restore()
+            state.heal(snapshot)
             return restructure_branch(
                 state.current, branch_id, opts.config,
                 opts.duplication_limit, profile=state.gate_profile,
@@ -314,9 +339,9 @@ class RestructurePass(Pass):
             # cloning), so restructuring can consume it directly.
             precomputed = pre
             state.context.stats.analyses_reused += 1
-        # Restructure the live graph in place: the snapshot (not a
-        # throwaway clone) is the transaction's undo log, so the copy
-        # is pure overhead.  Cloning preserves node ids, so the result
+        # Restructure the live graph in place: the graph's undo log (not
+        # a throwaway clone) makes the transaction reversible, so the
+        # copy is pure overhead.  Cloning preserves node ids, so the result
         # is identical to the baseline's cloned run.
         return restructure_branch(
             state.current, branch_id, opts.config, opts.duplication_limit,

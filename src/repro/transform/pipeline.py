@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from repro import obs
 from repro.analysis.config import AnalysisConfig
@@ -45,7 +45,7 @@ from repro.analysis.context import AnalysisContext, CacheStats
 from repro.errors import DifferentialMismatch, ReproError
 from repro.interp.profile import Profile, RemappedProfile
 from repro.interp.workload import Workload
-from repro.ir.icfg import ICFG
+from repro.ir.icfg import ICFG, Mark
 from repro.ir.verify import verify_icfg
 from repro.robustness.diffcheck import DiffReport, differential_check
 from repro.robustness.faults import FaultPlan
@@ -267,6 +267,10 @@ class ICBEOptimizer:
                       tier=opts.tier_name):
             state = build_default_pipeline().run(state)
         current = state.current
+        # The run's transactions are all settled: close the undo log and
+        # release the indexes the transactions kept (rebuilt on demand).
+        current.commit()
+        current.drop_derived()
 
         report.optimized = current
         report.cache = context.stats
@@ -335,8 +339,9 @@ class ICBEOptimizer:
 
     # -- helpers -------------------------------------------------------------
 
-    def _node_cap(self, snapshot: ICFGSnapshot) -> Optional[int]:
-        """The per-transaction node budget, if growth-guarded."""
+    def _node_cap(self, snapshot: Union[Mark, ICFGSnapshot]) -> Optional[int]:
+        """The per-transaction node budget, if growth-guarded
+        (``snapshot`` is the transaction's rollback point)."""
         factor = self.options.guard_growth_factor
         if factor is None:
             return None

@@ -1,11 +1,15 @@
 """Per-conditional restructuring driver: analyze → gate → split →
 eliminate → verify (paper §3's two-phase optimization for one branch).
 
-The driver never mutates the input graph: all work happens on a clone,
-which is only handed back when the transformation succeeded and the
-verifier accepted the result.  A rejection (no correlation, duplication
-limit exceeded, or — defensively — a verification failure) reports the
-reason and leaves the caller's graph untouched.
+By default the driver never mutates the input graph: all work happens
+on a clone, which is only handed back when the transformation succeeded
+and the verifier accepted the result.  A rejection (no correlation,
+duplication limit exceeded, or — defensively — a verification failure)
+reports the reason and leaves the caller's graph untouched.  With
+``in_place=True`` the driver works on the caller's graph itself, which
+the caller must be able to roll back (the optimizer holds an undo-log
+mark, :meth:`~repro.ir.icfg.ICFG.begin`) on any outcome but OPTIMIZED:
+a rejected or failed attempt may leave it half-restructured.
 """
 
 from __future__ import annotations
@@ -100,7 +104,7 @@ def restructure_branch(icfg: ICFG, branch_id: int,
     verification to the procedures the transform actually dirtied
     (sound because out-of-band corruption marks everything dirty).
     ``in_place`` mutates ``icfg`` itself instead of a clone: the caller
-    must hold a snapshot and restore it on any non-OPTIMIZED outcome
+    must hold a rollback point and use it on any non-OPTIMIZED outcome
     (cloning preserves node ids, so in-place and cloned runs produce
     identical graphs).
     """

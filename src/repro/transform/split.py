@@ -157,12 +157,28 @@ class Splitter:
                 or exit_id in self.clone_sets)
 
     def _rebuild_call_exits(self) -> None:
-        call_exits = [n for n in self.icfg.iter_nodes()
-                      if isinstance(n, CallExitNode)]
-        for node in call_exits:
+        for node in self._call_exit_candidates():
             if not self._call_exit_needs_rebuild(node):
                 continue
             self._rebuild_one_call_exit(node)
+
+    def _call_exit_candidates(self) -> List[CallExitNode]:
+        """Every call-site exit that may need a rebuild, ascending: the
+        visited ones and the LOCAL/RETURN successors of split calls and
+        exits.  A graph with out-of-band writes is scanned whole, so a
+        broken call-site exit anywhere fails the split as it always has."""
+        nodes = self.icfg.nodes
+        if self.icfg.tainted:
+            return [n for n in self.icfg.iter_nodes()
+                    if isinstance(n, CallExitNode)]
+        ids = {nid for nid in self.engine.raised
+               if self.engine.raised[nid] and nid in nodes}
+        for node_id in self.clone_sets:
+            for edge in self.icfg.succ_edges(node_id):
+                if edge.kind in (EdgeKind.LOCAL, EdgeKind.RETURN):
+                    ids.add(edge.dst)
+        return [nodes[nid] for nid in sorted(ids)
+                if isinstance(nodes.get(nid), CallExitNode)]
 
     def _candidates(self, node_id: int) -> List[Tuple[Node, Assignment]]:
         """Copies of a node with their assignments ([original, ()] when
@@ -181,7 +197,7 @@ class Splitter:
             assert isinstance(call_copy, CallNode)
             # The copy's return map is rebuilt from scratch below; drop
             # entries inherited from the original.
-            call_copy.return_map.pop(exit_id, None)
+            self.icfg.drop_return_target(call_copy, exit_id)
             for exit_copy, exit_assignment in self._candidates(exit_id):
                 derived = self._derive_call_exit_assignment(
                     node, dict(call_assignment), dict(exit_assignment))
@@ -191,7 +207,7 @@ class Splitter:
                 self.cloned_from[fresh.id] = node.id
                 self.icfg.add_edge(call_copy.id, fresh.id, EdgeKind.LOCAL)
                 self.icfg.add_edge(exit_copy.id, fresh.id, EdgeKind.RETURN)
-                call_copy.return_map[exit_copy.id] = fresh.id
+                self.icfg.set_return_target(call_copy, exit_copy.id, fresh.id)
                 self.call_exit_assignments[fresh.id] = derived
                 copies.append(fresh)
         self.call_exit_clones[node.id] = copies
@@ -268,9 +284,21 @@ class Splitter:
                     for copy in self.call_exit_clones[node_id]]
         return [(self.icfg.nodes[node_id], {})]
 
+    def _wiring_sources(self) -> List[int]:
+        """Ascending ids of the original nodes whose out-edges may need
+        rewiring: split originals and their predecessors (every node,
+        when out-of-band writes void the edge indexes)."""
+        if self.icfg.tainted:
+            return sorted(self.icfg.nodes)
+        touched = set(self.clone_sets).union(self.call_exit_clones)
+        sources = set(touched)
+        for node_id in touched:
+            sources.update(edge.src for edge in self.icfg.pred_edges(node_id))
+        return sorted(nid for nid in sources if nid in self.icfg.nodes)
+
     def _wire_generic_edges(self) -> None:
         original_edges: List[Edge] = []
-        for node_id in sorted(self.icfg.nodes):
+        for node_id in self._wiring_sources():
             if node_id in self.cloned_from:
                 continue  # a fresh copy; only original edges drive wiring
             for edge in self.icfg.succ_edges(node_id):
@@ -291,9 +319,10 @@ class Splitter:
                 target = self._target_copy(edge, source_assignment)
                 if not self.icfg.has_edge(source_copy.id, target.id, edge.kind):
                     self.icfg.add_edge(source_copy.id, target.id, edge.kind)
-                if edge.kind is EdgeKind.CALL and isinstance(source_copy,
-                                                             CallNode):
-                    source_copy.entry_id = target.id
+                if (edge.kind is EdgeKind.CALL
+                        and isinstance(source_copy, CallNode)
+                        and source_copy.entry_id != target.id):
+                    self.icfg.set_entry_id(source_copy, target.id)
 
     def _target_copy(self, edge: Edge, source_assignment: Dict[Query, Answer]
                      ) -> Node:

@@ -3,8 +3,10 @@
 import json
 import os
 
+import pytest
+
 from repro import obs
-from repro.cli import main as cli_main
+from repro.cli import build_parser, main as cli_main
 from repro.obs.export import read_jsonl
 
 
@@ -42,6 +44,30 @@ def test_trace_file_written_even_when_the_command_fails(tmp_path):
     assert cli_main(["optimize", missing, "--trace", trace]) == 2
     data = read_jsonl(trace)
     assert data["meta"]["command"] == "optimize"
+
+
+@pytest.mark.parametrize("command", [["optimize", "x.mc"], ["serve"]])
+@pytest.mark.parametrize("before", [True, False])
+def test_obs_flags_parse_on_either_side_of_the_subcommand(command, before):
+    """``--trace``/``--profile`` reach the command whether they come
+    before or after the subcommand (the subcommand's own copies must
+    not overwrite the top-level values with their defaults)."""
+    flags = ["--trace", "t.jsonl", "--profile"]
+    argv = flags + command if before else command + flags
+    args = build_parser().parse_args(argv)
+    assert args.trace == "t.jsonl"
+    assert args.profile is True
+    plain = build_parser().parse_args(command)
+    assert plain.trace is None and plain.profile is False
+
+
+def test_cli_trace_before_the_subcommand_writes_the_trace(tmp_path, capsys):
+    trace = str(tmp_path / "early.jsonl")
+    assert cli_main(["--trace", trace, "--profile",
+                     "optimize", "suite:li_like@1"]) == 0
+    data = read_jsonl(trace)
+    assert data["metrics"]["counters"]["optimize.runs"] == 1
+    assert "cli.optimize" in capsys.readouterr().err
 
 
 def _batch(run_dir, trace=False):
