@@ -24,7 +24,9 @@ Cached artifacts and their invalidation rules:
 ``modref``
     The transitive MOD sets and the call graph.  Any dirty procedure
     drops them (MOD is a whole-program fixpoint; recomputing it is
-    cheaper than incrementalising it).
+    cheaper than incrementalising it).  The call graph is rebuilt from
+    the graph's calls-into-procedure index (its call nodes alone), not
+    by scanning every node.
 
 ``indices``
     The sorted branch-id list the optimizer's pending scan uses, read

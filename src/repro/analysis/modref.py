@@ -14,7 +14,7 @@ from typing import Dict, Set
 
 from repro.ir.expr import VarId
 from repro.ir.icfg import ICFG
-from repro.ir.nodes import AssignNode, CallExitNode, CallNode
+from repro.ir.nodes import AssignNode, CallExitNode
 
 
 def direct_mod_sets(icfg: ICFG) -> Dict[str, Set[VarId]]:
@@ -32,11 +32,11 @@ def direct_mod_sets(icfg: ICFG) -> Dict[str, Set[VarId]]:
 
 
 def call_graph(icfg: ICFG) -> Dict[str, Set[str]]:
-    """caller -> set of callees (by call nodes present in the graph)."""
+    """caller -> set of callees (by call nodes present in the graph,
+    read from the graph's call index when it has one)."""
     edges: Dict[str, Set[str]] = {name: set() for name in icfg.procs}
-    for node in icfg.iter_nodes():
-        if isinstance(node, CallNode):
-            edges[node.proc].add(node.callee)
+    for node in icfg.call_nodes():
+        edges[node.proc].add(node.callee)
     return edges
 
 

@@ -351,7 +351,7 @@ def _cache_section() -> str:
 The optimizer runs as a pass pipeline over one shared, generation-keyed
 `AnalysisContext` (see docs/ARCHITECTURE.md): cross-branch summary
 caching, memoized mod/ref, snapshot reuse, restore elision, and
-dirty-procedure-scoped re-verification.  `--no-analysis-cache`
+edit-scoped re-verification.  `--no-analysis-cache`
 re-derives everything per conditional; per-branch outcomes and the
 final graph are identical either way (last column compares both, here
 and in `benchmarks/bench_cache.py` at scale 8 where the shared context

@@ -110,6 +110,19 @@ def _field_image(node: Node) -> Dict[str, object]:
             for name, value in vars(node).items()}
 
 
+@dataclass
+class EditSet:
+    """What the undo log says a transaction changed (:meth:`ICFG.
+    edits_since`); ids may name nodes removed later in the log."""
+
+    #: Endpoints of every added or removed edge, and every added node.
+    nodes: Set[int] = field(default_factory=set)
+    #: Nodes whose fields were written in place (logged pre-images).
+    rewritten: Set[int] = field(default_factory=set)
+    #: Procedures structurally changed, deleted ones included.
+    procs: Set[str] = field(default_factory=set)
+
+
 def _map_refs(mapping: Dict[int, int]) -> Set[int]:
     """Every node id a return map names, as key or value."""
     return set(mapping).union(mapping.values())
@@ -206,6 +219,8 @@ class ICFG:
         # by the mutators (and released by drop_derived).
         self._proc_nodes: Optional[Dict[str, Set[int]]] = None
         self._branches: Optional[Set[int]] = None
+        #: callee name -> ids of the call nodes that call it.
+        self._callers: Optional[Dict[str, Set[int]]] = None
         self._executable = 0
         #: node id -> ids of the calls whose return map names it; built
         #: by a full prune for the seeded prunes that follow.
@@ -376,12 +391,40 @@ class ICFG:
         if self._log is not None:
             self._log.append(record)
 
+    def edits_since(self, mark: Mark) -> Optional[EditSet]:
+        """Read the undo log back to ``mark``: what changed since.
+
+        None when the log cannot vouch for the extent of the change: the
+        graph is tainted (out-of-band writes), ``mark`` is not a point of
+        the open transaction, or the log holds a record other than an
+        edge or node add/remove, a field pre-image, an entry/exit list
+        append or a procedure deletion."""
+        if self._oob or not self.holds(mark):
+            return None
+        edits = EditSet(procs=self.dirty_procs_since(mark.generation))
+        touched, rewritten = edits.nodes, edits.rewritten
+        for record in self._log[mark.position:]:
+            if type(record) is Edge:
+                touched.add(record.src)
+                touched.add(record.dst)
+            elif isinstance(record, Node):
+                touched.add(record.id)
+            elif record[0] is _EDGE_DEL:
+                touched.add(record[1].src)
+                touched.add(record[1].dst)
+            elif record[0] is _FIELDS:
+                rewritten.add(record[1].id)
+            elif record[0] not in (_NODE_DEL, _LIST_APPEND, _PROC_DEL):
+                return None
+        return edits
+
     # -- derived indexes -------------------------------------------------------
 
     def _node_index(self) -> Dict[str, Set[int]]:
         """The per-procedure node index, built on first use."""
         if self._proc_nodes is None:
             self._proc_nodes, self._branches, self._executable = {}, set(), 0
+            self._callers = {}
             for node in self.nodes.values():
                 self._index(node)
         return self._proc_nodes
@@ -393,6 +436,8 @@ class ICFG:
                 self._executable += 1
             if isinstance(node, BranchNode):
                 self._branches.add(node.id)
+            elif isinstance(node, CallNode):
+                self._callers.setdefault(node.callee, set()).add(node.id)
         if isinstance(node, CallNode):
             self._note_return_map(node.id, {}, node.return_map)
 
@@ -407,6 +452,12 @@ class ICFG:
                 self._executable -= 1
             if isinstance(node, BranchNode):
                 self._branches.discard(node.id)
+            elif isinstance(node, CallNode):
+                callers = self._callers.get(node.callee)
+                if callers is not None:
+                    callers.discard(node.id)
+                    if not callers:
+                        del self._callers[node.callee]
         if isinstance(node, CallNode):
             self._note_return_map(node.id, node.return_map, {})
 
@@ -433,6 +484,7 @@ class ICFG:
         graph; for a graph that is finished, or whose state was swapped
         wholesale."""
         self._proc_nodes = self._branches = self._rmap_refs = None
+        self._callers = None
         self._executable = 0
         self._prune = _PruneState()
 
@@ -677,7 +729,20 @@ class ICFG:
         return [self.nodes[node_id] for node_id in self.branch_ids()]
 
     def call_nodes(self) -> List[CallNode]:
-        return [n for n in self.iter_nodes() if isinstance(n, CallNode)]
+        """Every call node, in ascending id order."""
+        if self._oob or self._callers is None:
+            return [n for n in self.iter_nodes() if isinstance(n, CallNode)]
+        ids = sorted(call_id for calls in self._callers.values()
+                     for call_id in calls)
+        return [self.nodes[call_id] for call_id in ids]
+
+    def calls_into(self, proc: str) -> List[CallNode]:
+        """The call nodes whose callee is ``proc``, ascending by id."""
+        if self._oob:
+            return [n for n in self.call_nodes() if n.callee == proc]
+        self._node_index()
+        ids = sorted(self._callers.get(proc, ()))
+        return [self.nodes[call_id] for call_id in ids]
 
     def main_entry(self) -> int:
         """The original entry of ``main`` (splitting never retargets it:

@@ -24,6 +24,15 @@ Checked invariants:
 6.  Entry nodes have only CALL in-edges (main's start entry may have
     none) and one NORMAL out-edge; exit nodes have only RETURN out-edges
     and only intraprocedural in-edges.
+
+Every check but the procedure-list one is a property of one node, read
+from that node, its incident edges and neighbours, and — for a call —
+its callee's entry/exit lists and body.  So a graph that was clean when
+a transaction opened can only have broken where the transaction wrote,
+and the optimizer re-verifies just that *edit scope* after each
+transaction (``verify_icfg(icfg, since=mark)``), read from the graph's
+undo log; :func:`_edit_scope` lists what it covers.  The full check
+stays for the final validation and the cache-off path.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Set
 
 from repro.errors import VerificationError
-from repro.ir.icfg import EdgeKind, ICFG, INTRA_KINDS
+from repro.ir.icfg import EdgeKind, EditSet, ICFG, INTRA_KINDS, Mark
 from repro.ir.nodes import (BranchNode, CallExitNode, CallNode, EntryNode,
                             ExitNode, Node)
 
@@ -200,10 +209,9 @@ def _check_node(icfg: ICFG, node: Node) -> None:
 def _check_edge_symmetry_scoped(icfg: ICFG, node_ids: Iterable[int]) -> None:
     """Edge-index symmetry restricted to edges incident to ``node_ids``.
 
-    Sufficient when every edge mutation touches both endpoint
-    procedures (which :class:`~repro.ir.icfg.ICFG`'s mutators
-    guarantee): an edge between two clean procedures cannot have
-    changed, so only scope-incident edges need re-checking.
+    Sufficient when ``node_ids`` holds both endpoints of every edge
+    added or removed since the graph was last clean (the edit scope
+    does): an edge incident to no scope node cannot have changed.
     """
     for node_id in node_ids:
         edges = icfg.succ_edges(node_id)
@@ -249,38 +257,68 @@ def _check_proc_lists(icfg: ICFG,
         _fail("a node appears twice in entry/exit lists")
 
 
-def verify_icfg(icfg: ICFG, procs: Optional[Iterable[str]] = None) -> None:
+def _edit_scope(icfg: ICFG, edits: EditSet) -> List[int]:
+    """The live nodes whose checks an edit can have changed, ascending.
+
+    These are: both endpoints of each added or removed edge; added
+    nodes; nodes with a field pre-image, with their edge neighbours (a
+    call-site exit's check reads its call's fields); every call into a
+    changed procedure (:func:`_reachable_exits` reads the callee's body,
+    and a call's check its callee's entry and exit lists); and any live
+    node of a deleted procedure.
+    """
+    scope = set(edits.nodes)
+    for node_id in edits.rewritten:
+        if node_id in icfg.nodes:
+            scope.add(node_id)
+            scope.update(icfg.successors(node_id))
+            scope.update(icfg.predecessors(node_id))
+    for proc in edits.procs:
+        scope.update(call.id for call in icfg.calls_into(proc))
+    deleted = [proc for proc in edits.procs if proc not in icfg.procs]
+    scope.update(node.id for node in icfg.nodes_of(deleted))
+    return sorted(node_id for node_id in scope if node_id in icfg.nodes)
+
+
+def verify_icfg(icfg: ICFG, since: Optional[Mark] = None) -> None:
     """Raise :class:`VerificationError` on the first broken invariant.
 
-    With ``procs`` the check is *scoped*: only nodes, lists, and
-    incident edges of the named procedures are re-checked.  That is
-    sound for incremental re-verification exactly when ``procs`` covers
-    every procedure structurally changed since the graph was last known
-    clean (the ICFG's dirty-set tracking provides that set, and
-    out-of-band mutation marks everything dirty).  ``procs=None`` is
-    the full check.
+    With ``since`` (a mark of the graph's open transaction) the check
+    is *edit-scoped*: only the :func:`_edit_scope` of what the undo log
+    recorded after ``since``, and the entry/exit lists of the
+    procedures it changed, are re-checked.  That raises exactly when
+    the full check would, provided the graph verified at ``since``.
+    When the log cannot vouch for the edit — the graph is tainted by an
+    out-of-band write, ``since`` is not a point of the open
+    transaction, or the log holds another kind of record — the check
+    is full, as it is with ``since=None``.
     """
     from repro import obs
-    with obs.span("ir.verify", scoped=procs is not None):
-        _verify(icfg, procs)
+    with obs.span("ir.verify") as span:
+        edits = icfg.edits_since(since) if since is not None else None
+        if edits is None:
+            span.set(scoped=False, nodes=len(icfg.nodes))
+            _verify_full(icfg)
+        else:
+            scope = _edit_scope(icfg, edits)
+            span.set(scoped=True, nodes=len(scope))
+            _verify_scoped(icfg, scope, edits.procs)
 
 
-def _verify(icfg: ICFG, procs: Optional[Iterable[str]]) -> None:
-    """The untraced body of :func:`verify_icfg`."""
+def _verify_full(icfg: ICFG) -> None:
     if icfg.main not in icfg.procs:
         _fail(f"main procedure {icfg.main!r} missing")
-    if procs is None:
-        _check_edge_symmetry(icfg)
-        _check_proc_lists(icfg)
-        for node in icfg.iter_nodes():
-            _check_node(icfg, node)
-        return
-    scope = set(procs)
-    if not scope:
-        return
-    scoped_nodes = icfg.nodes_of(scope)
-    _check_edge_symmetry_scoped(icfg, [node.id for node in scoped_nodes])
-    _check_proc_lists(icfg, scope={name for name in scope
-                                   if name in icfg.procs})
-    for node in scoped_nodes:
+    _check_edge_symmetry(icfg)
+    _check_proc_lists(icfg)
+    for node in icfg.iter_nodes():
         _check_node(icfg, node)
+
+
+def _verify_scoped(icfg: ICFG, scope: List[int], procs: Set[str]) -> None:
+    if icfg.main not in icfg.procs:
+        _fail(f"main procedure {icfg.main!r} missing")
+    _check_edge_symmetry_scoped(icfg, scope)
+    _check_proc_lists(icfg, scope={name for name in procs
+                                   if name in icfg.procs})
+    for node_id in scope:
+        _check_node(icfg, icfg.nodes[node_id])

@@ -11,7 +11,12 @@ purpose, since the whole point of the optimization is to change them).
 
 The transactional optimizer runs this after every accepted transform
 (and once more at pipeline end): a mismatch rolls the offending
-conditional back instead of silently shipping a miscompile.
+conditional back instead of silently shipping a miscompile.  The
+original's side of every one of those comparisons is the same — the
+optimizer never mutates its input — so a run holds one
+:class:`DiffReference`, which interprets the original once per
+workload at the first check and compares each later candidate against
+the recorded observables.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro import obs
 from repro.errors import DifferentialMismatch
 from repro.interp.machine import DEFAULT_STEP_LIMIT, run_icfg
 from repro.interp.workload import Workload
@@ -79,29 +85,66 @@ def seeded_workloads(seed: int = 0, runs: int = 3, length: int = 16,
     return loads
 
 
+class DiffReference:
+    """The original program's side of differential validation.
+
+    Holds the workload battery and, from the first :meth:`check` on,
+    the original's observables over it.  Those are computed lazily and
+    then reused by every later check, which is sound only while the
+    original is not mutated: create one reference per optimizer run
+    (whose input is never mutated) and let it go with the run, since it
+    keeps the original graph alive.
+    """
+
+    def __init__(self, original: ICFG,
+                 workloads: Optional[List[Workload]] = None,
+                 seed: int = 0, runs: int = 3, length: int = 16,
+                 step_limit: int = DEFAULT_STEP_LIMIT) -> None:
+        self.original = original
+        self.workloads = (workloads if workloads is not None
+                          else seeded_workloads(seed, runs, length))
+        self.step_limit = step_limit
+        self._observables: Optional[List[Tuple]] = None
+
+    def check(self, optimized: ICFG) -> DiffReport:
+        """Compare ``optimized``'s observables against the original's.
+
+        ``optimized`` is not mutated; workloads are re-wound via
+        ``fresh``, so one battery serves every check."""
+        with obs.span("robustness.diffcheck",
+                      workloads=len(self.workloads)) as span:
+            checkpoint("diffcheck:run")
+            first = self._observables is None
+            if first:
+                self._observables = [
+                    run_icfg(self.original, workload.fresh(),
+                             step_limit=self.step_limit).observable
+                    for workload in self.workloads]
+            span.set(reference_runs=len(self.workloads) if first else 0)
+            report = DiffReport(runs=len(self.workloads))
+            for workload, before in zip(self.workloads, self._observables):
+                after = run_icfg(optimized, workload.fresh(),
+                                 step_limit=self.step_limit).observable
+                if before != after:
+                    report.mismatches.append(DiffMismatch(
+                        workload_name=workload.name,
+                        workload_values=tuple(workload.values),
+                        original=before, optimized=after))
+        return report
+
+
 def differential_check(original: ICFG, optimized: ICFG,
                        workloads: Optional[List[Workload]] = None,
                        seed: int = 0, runs: int = 3, length: int = 16,
                        step_limit: int = DEFAULT_STEP_LIMIT) -> DiffReport:
-    """Compare observable traces of ``original`` vs ``optimized``.
+    """Compare observable traces of ``original`` vs ``optimized`` once
+    (a one-shot :class:`DiffReference`).
 
     Neither graph is mutated; workloads are re-wound via ``fresh`` so a
     caller-supplied battery can be reused across calls.
     """
-    checkpoint("diffcheck:run")
-    if workloads is None:
-        workloads = seeded_workloads(seed, runs, length)
-    report = DiffReport(runs=len(workloads))
-    for workload in workloads:
-        before = run_icfg(original, workload.fresh(), step_limit=step_limit)
-        after = run_icfg(optimized, workload.fresh(), step_limit=step_limit)
-        if before.observable != after.observable:
-            report.mismatches.append(DiffMismatch(
-                workload_name=workload.name,
-                workload_values=tuple(workload.values),
-                original=before.observable,
-                optimized=after.observable))
-    return report
+    return DiffReference(original, workloads, seed, runs, length,
+                         step_limit).check(optimized)
 
 
 def require_equivalent(original: ICFG, optimized: ICFG,

@@ -64,7 +64,7 @@ from repro.errors import DifferentialMismatch
 from repro.ir.icfg import ICFG, Mark
 from repro.ir.simplify import simplify_nops
 from repro.ir.verify import verify_icfg
-from repro.robustness.diffcheck import DiffReport
+from repro.robustness.diffcheck import DiffReference, DiffReport
 from repro.robustness.guards import ResourceGuard
 from repro.robustness.runtime import checkpoint, robustness_context
 from repro.robustness.snapshot import ICFGSnapshot
@@ -90,6 +90,9 @@ class PipelineState:
     #: Where the open transaction rolls back to: an undo-log mark of
     #: the live graph with the context on, a full-copy snapshot off.
     snapshot: Optional[Union[Mark, ICFGSnapshot]] = None
+    #: The input's side of differential validation (None with the
+    #: check off); it lives and dies with the run.
+    reference: Optional[DiffReference] = None
 
     @property
     def options(self):
@@ -234,9 +237,9 @@ class RestructurePass(Pass):
                     # rather than poisoning this conditional's verdict.
                     state.heal(snapshot)
                 result = self._attempt(state, branch_id, snapshot)
-                if result.applied and opts.diff_check:
+                if result.applied and state.reference is not None:
                     assert result.new_icfg is not None
-                    diff = optimizer._diff(state.original, result.new_icfg)
+                    diff = state.reference.check(result.new_icfg)
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as failure:
@@ -377,17 +380,14 @@ class SimplifyPass(Pass):
             snapshot = state.ensure_snapshot()
         else:
             snapshot = state.fresh_snapshot()
-        base_generation = state.current.generation
+        # Edit-scoped verification from the undo-log mark; the cache-off
+        # baseline's full-copy snapshot gets the full check.
+        since = snapshot if isinstance(snapshot, Mark) else None
         try:
             with robustness_context(plan=opts.fault_plan):
                 checkpoint("pipeline:simplify", state.current)
                 simplify_nops(state.current)
-                if opts.analysis_cache:
-                    verify_icfg(state.current,
-                                procs=state.current.dirty_procs_since(
-                                    base_generation))
-                else:
-                    verify_icfg(state.current)
+                verify_icfg(state.current, since=since)
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as failure:
@@ -410,8 +410,7 @@ class FinalValidatePass(Pass):
     preserves: FrozenSet[str] = AnalysisContext.ALL
 
     def run(self, state: PipelineState) -> None:
-        state.current = state.optimizer._final_validation(
-            state.original, state.current, state.report)
+        state.current = state.optimizer._final_validation(state)
 
 
 def build_default_pipeline() -> PassManager:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro import obs
 from repro.analysis.config import AnalysisConfig
@@ -47,12 +47,15 @@ from repro.interp.profile import Profile, RemappedProfile
 from repro.interp.workload import Workload
 from repro.ir.icfg import ICFG, Mark
 from repro.ir.verify import verify_icfg
-from repro.robustness.diffcheck import DiffReport, differential_check
+from repro.robustness.diffcheck import DiffReference, DiffReport
 from repro.robustness.faults import FaultPlan
 from repro.robustness.report import (DiagnosticsBundle, capture_bundle,
                                      write_bundle)
 from repro.robustness.snapshot import ICFGSnapshot
 from repro.transform.restructure import BranchOutcome, RestructureResult
+
+if TYPE_CHECKING:
+    from repro.transform.passes import PipelineState
 
 
 @dataclass
@@ -79,6 +82,7 @@ class OptimizerOptions:
     strict: bool = False
     #: Run differential trace validation after every accepted transform
     #: and once more at pipeline end; mismatches roll the transform back.
+    #: The input's side of it is interpreted once per run.
     diff_check: bool = False
     #: Workload battery for differential validation (None = a seeded
     #: default battery of ``diff_runs`` random streams plus the empty
@@ -101,7 +105,7 @@ class OptimizerOptions:
     #: Share one :class:`~repro.analysis.context.AnalysisContext` across
     #: the run: cross-branch summary caching, memoized mod/ref and
     #: call-graph/adjacency indices, generation-gated snapshot reuse and
-    #: dirty-procedure-scoped re-verification.  ``False``
+    #: edit-scoped re-verification.  ``False``
     #: (``--no-analysis-cache``) re-derives everything per conditional —
     #: the original behaviour, kept as the A/B baseline; outcomes are
     #: identical either way.
@@ -258,10 +262,18 @@ class ICBEOptimizer:
         if opts.max_growth_factor is not None:
             growth_cap = int(icfg.node_count() * opts.max_growth_factor)
 
+        # The input is never mutated (only clones of it are), so its
+        # side of every differential check is interpreted once per run.
+        reference = None
+        if opts.diff_check:
+            reference = DiffReference(icfg, opts.diff_workloads,
+                                      seed=opts.diff_seed,
+                                      runs=opts.diff_runs)
+
         state = PipelineState(optimizer=self, original=icfg, current=current,
                               report=report, context=context, origin=origin,
                               gate_profile=gate_profile,
-                              growth_cap=growth_cap)
+                              growth_cap=growth_cap, reference=reference)
         with obs.span("optimize", nodes=report.nodes_before,
                       conditionals=report.conditionals_before,
                       tier=opts.tier_name):
@@ -311,14 +323,15 @@ class ICBEOptimizer:
 
     # -- transactional phases ------------------------------------------------
 
-    def _final_validation(self, original: ICFG, current: ICFG,
-                          report: OptimizationReport) -> ICFG:
+    def _final_validation(self, state: "PipelineState") -> ICFG:
         """Last line of defence: the returned graph must verify and
         (when differential checking is on) behave like the input.  A
         violation here means a pipeline-level fault slipped through
         every per-conditional net, so the whole run is rolled back to a
         pristine clone of the input — correct, if unoptimized."""
         opts = self.options
+        original, current, report = state.original, state.current, \
+            state.report
         try:
             verify_icfg(current)
         except ReproError as failure:
@@ -327,8 +340,8 @@ class ICBEOptimizer:
             self._diagnose(report, -1, "final-verify",
                            exc=failure, icfg=current)
             return original.clone()
-        if opts.diff_check:
-            diff = self._diff(original, current)
+        if state.reference is not None:
+            diff = state.reference.check(current)
             if not diff.ok:
                 if opts.strict:
                     raise DifferentialMismatch(diff.describe())
@@ -346,13 +359,6 @@ class ICBEOptimizer:
         if factor is None:
             return None
         return int(snapshot.node_count * factor)
-
-    def _diff(self, original: ICFG, optimized: ICFG) -> DiffReport:
-        """Differential trace comparison with the configured workloads."""
-        opts = self.options
-        return differential_check(original, optimized,
-                                  workloads=opts.diff_workloads,
-                                  seed=opts.diff_seed, runs=opts.diff_runs)
 
     def _diagnose(self, report: OptimizationReport, branch_id: int,
                   phase: str, exc: Optional[BaseException] = None,

@@ -101,15 +101,18 @@ def restructure_branch(icfg: ICFG, branch_id: int,
     the splitter walks every pair the engine visited, so an analysis
     that short-circuited callees through a summary cache cannot drive
     restructuring.  ``incremental_verify`` scopes the post-transform
-    verification to the procedures the transform actually dirtied
-    (sound because out-of-band corruption marks everything dirty).
+    verification to the nodes this call's edits touched, read from the
+    working graph's undo log (it opens or continues a transaction on
+    it); sound because the graph verified before the edit, and
+    out-of-band corruption taints the graph, which forces the full
+    check.
     ``in_place`` mutates ``icfg`` itself instead of a clone: the caller
     must hold a rollback point and use it on any non-OPTIMIZED outcome
     (cloning preserves node ids, so in-place and cloned runs produce
     identical graphs).
     """
     working = icfg if in_place else icfg.clone()
-    base_generation = working.generation
+    since = working.begin() if incremental_verify else None
     if precomputed is not None:
         analysis = precomputed
     else:
@@ -145,11 +148,7 @@ def restructure_branch(icfg: ICFG, branch_id: int,
             working, outcome.branch_copies)
         working.remove_unreachable()
         checkpoint("transform:verify", working)
-        if incremental_verify:
-            verify_icfg(working,
-                        procs=working.dirty_procs_since(base_generation))
-        else:
-            verify_icfg(working)
+        verify_icfg(working, since=since)
     except (TransformError, VerificationError) as failure:
         base.outcome = BranchOutcome.TRANSFORM_FAILED
         base.failure = str(failure)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from tests.helpers import build
@@ -213,3 +215,121 @@ def test_invariant6_exit_with_non_return_out_edge_named():
     icfg.add_edge(exit_id, nop.id, EdgeKind.NORMAL)
     with pytest.raises(VerificationError, match="non-RETURN out-edges"):
         verify_icfg(icfg)
+
+
+# ---------------------------------------------------------------------------
+# Edit-scoped verification (``verify_icfg(icfg, since=mark)``): one edit
+# per invariant class, made through the ICFG mutators inside an open
+# transaction, must fail the scoped check exactly as it fails the full
+# one.  tests/property/test_edit_scoped_verify.py does the same over
+# random programs and random edits.
+# ---------------------------------------------------------------------------
+
+
+def scoped_and_full(icfg, mark):
+    """The (edit-scoped, full) failure messages."""
+    messages = []
+    for since in (mark, None):
+        with pytest.raises(VerificationError) as failure:
+            verify_icfg(icfg, since=since)
+        messages.append(str(failure.value))
+    return messages
+
+
+def assert_scoped_matches_full(icfg, mark, match):
+    scoped, full = scoped_and_full(icfg, mark)
+    assert scoped == full
+    assert re.search(match, scoped), scoped
+
+
+def test_scoped_verify_of_a_clean_edit_passes():
+    icfg = build(SOURCE)
+    mark = icfg.begin()
+    edge = icfg.succ_edges(icfg.main_entry())[0]
+    icfg.remove_edge(edge)
+    icfg.add_edge(edge.src, edge.dst, edge.kind)
+    verify_icfg(icfg, since=mark)
+    assert icfg.edits_since(mark).nodes == {edge.src, edge.dst}
+
+
+def test_scoped_invariant1_logged_edge_missing_from_pred_index():
+    icfg = build(SOURCE)
+    mark = icfg.begin()
+    edge = icfg.succ_edges(icfg.main_entry())[0]
+    icfg.remove_edge(edge)
+    icfg.add_edge(edge.src, edge.dst, edge.kind)
+    icfg._preds[edge.dst].remove(edge)  # white-box, after the logged edit
+    scoped, full = scoped_and_full(icfg, mark)
+    assert "missing from predecessor index" in scoped
+    assert "disagree" in full
+
+
+def test_scoped_invariant2_cross_procedure_edge():
+    icfg = build(SOURCE)
+    mark = icfg.begin()
+    branch = branch_of(icfg)
+    true_edge = [e for e in icfg.succ_edges(branch.id)
+                 if e.kind is EdgeKind.TRUE][0]
+    icfg.remove_edge(true_edge)
+    main_exit = icfg.procs["main"].exits[0]
+    icfg.add_edge(branch.id, main_exit, EdgeKind.TRUE)
+    assert_scoped_matches_full(icfg, mark, "crosses procedures")
+
+
+def test_scoped_invariant3_branch_out_edge_arity():
+    icfg = build(SOURCE)
+    mark = icfg.begin()
+    branch = branch_of(icfg)
+    icfg.remove_edge([e for e in icfg.succ_edges(branch.id)
+                      if e.kind is EdgeKind.FALSE][0])
+    assert_scoped_matches_full(icfg, mark, rf"branch {branch.id} has out-edges")
+
+
+def test_scoped_invariant4_field_write_retargets_call():
+    icfg = build(SOURCE + "proc g() { return 0; }")
+    mark = icfg.begin()
+    call = [n for n in icfg.iter_nodes() if isinstance(n, CallNode)][0]
+    icfg.set_entry_id(call, icfg.procs["g"].entries[0])
+    assert_scoped_matches_full(icfg, mark, "is not an entry of 'f'")
+
+
+def test_scoped_invariant5_callee_edit_reaches_an_unmapped_exit():
+    """Only the callee's body changes; the call in main is untouched,
+    yet it now lacks a return address for a reachable exit."""
+    icfg = build(SOURCE)
+    mark = icfg.begin()
+    f_exit = icfg.nodes[icfg.procs["f"].exits[0]]
+    copy = icfg.duplicate_node(f_exit)
+    edge = icfg.pred_edges(f_exit.id)[0]
+    icfg.remove_edge(edge)
+    icfg.add_edge(edge.src, copy.id, edge.kind)
+    assert icfg.edits_since(mark).procs == {"f"}
+    assert_scoped_matches_full(icfg, mark, "lacks return addresses")
+
+
+def test_scoped_invariant6_entry_with_non_call_in_edge():
+    icfg = build(SOURCE)
+    mark = icfg.begin()
+    entry = icfg.procs["f"].entries[0]
+    nop = [n for n in icfg.iter_nodes()
+           if isinstance(n, NopNode) and n.proc == "f"][0]
+    for edge in list(icfg.succ_edges(nop.id)):
+        icfg.remove_edge(edge)
+    icfg.add_edge(nop.id, entry, EdgeKind.NORMAL)
+    assert_scoped_matches_full(icfg, mark, "non-CALL in-edges")
+
+
+def test_scoped_verify_checks_entry_lists_of_edited_procedures():
+    icfg = build(SOURCE)
+    mark = icfg.begin()
+    icfg.remove_node(icfg.procs["f"].entries[0])
+    assert_scoped_matches_full(icfg, mark, "'f' has no entry")
+
+
+def test_scoped_verify_falls_back_to_full_when_tainted():
+    icfg = build(SOURCE)
+    mark = icfg.begin()
+    icfg.mark_all_dirty()
+    icfg.procs["f"].exits.clear()  # unlogged: only the full check sees it
+    assert icfg.edits_since(mark) is None
+    assert_scoped_matches_full(icfg, mark, "has no exit")

@@ -62,8 +62,9 @@ def observable_state(icfg: ICFG) -> dict:
 
 
 def derived_indexes(icfg: ICFG) -> tuple:
-    """The graph's node indexes (built if absent) and its return-map
-    index (as kept, or rebuilt from the call nodes)."""
+    """The graph's node indexes (built if absent), among them the
+    calls-into-procedure index, and its return-map index (as kept, or
+    rebuilt from the call nodes)."""
     icfg._node_index()
     refs = icfg._rmap_refs
     if refs is None:
@@ -72,7 +73,8 @@ def derived_indexes(icfg: ICFG) -> tuple:
             if isinstance(node, CallNode):
                 for ref in {*node.return_map, *node.return_map.values()}:
                     refs.setdefault(ref, set()).add(node.id)
-    return icfg._proc_nodes, icfg._branches, icfg._executable, refs
+    return (icfg._proc_nodes, icfg._branches, icfg._executable,
+            icfg._callers, refs)
 
 
 @contextmanager
